@@ -6,15 +6,20 @@
 // Usage:
 //
 //	frappelab [-scale 0.15] [-seed 20121210] [-quick] [-store .frappelab]
-//	          [-workers N] [-out FILE] [-force] [-expect-all-hits] [-list]
+//	          [-workers N] [-out FILE] [-dot FILE] [-force] [-expect-all-hits]
+//	          [-list]
 //
 // A first run computes everything and persists each stage's artifact under
 // -store; a second run with unchanged inputs is pure cache hits and prints
 // the identical report in a fraction of the time. Changing the seed, the
 // scale, or one stage's config re-runs exactly the affected downstream
 // cone. An interrupted run (crash, ctrl-C) resumes from its completed
-// stages. The report is byte-identical to frappebench's monolithic
-// -no-cache output — both render the same sections through the same code.
+// stages. The report is byte-identical to experiments.RenderReport over a
+// freshly built Runner — both render the same sections through the same
+// code.
+//
+// -dot adds one stage that renders Fig. 1's snapshot component as Graphviz
+// DOT and writes it to the given file; the report is unchanged.
 //
 // -expect-all-hits exits non-zero if any stage missed the cache; CI uses
 // it to assert that a repeated run is fully cached. -force re-runs every
@@ -44,6 +49,7 @@ func main() {
 	storeDir := flag.String("store", ".frappelab", "artifact store directory")
 	workers := flag.Int("workers", 0, "max concurrent stages (0 = GOMAXPROCS); results are identical for any value")
 	outPath := flag.String("out", "", "write the report to this file instead of stdout")
+	dotPath := flag.String("dot", "", "also write the Fig. 1 snapshot component as Graphviz DOT to this file")
 	force := flag.Bool("force", false, "ignore cached artifacts (still refreshes the store)")
 	expectAllHits := flag.Bool("expect-all-hits", false, "exit non-zero if any stage missed the cache")
 	list := flag.Bool("list", false, "print the stage DAG and exit")
@@ -56,6 +62,9 @@ func main() {
 	})
 	opts := experiments.PipelineOptions{Scale: *scale, Seed: *seed, Quick: *quick}
 	stages := experiments.Pipeline(opts)
+	if *dotPath != "" {
+		stages = append(stages, experiments.Fig1DOTStage())
+	}
 
 	if *list {
 		for _, s := range stages {
@@ -104,6 +113,14 @@ func main() {
 		}
 	} else {
 		os.Stdout.Write(report)
+	}
+	if *dotPath != "" {
+		dot, _ := res.Artifact("fig1dot")
+		if err := os.WriteFile(*dotPath, dot, 0o644); err != nil {
+			logger.Error("writing Fig. 1 DOT", "err", err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "Fig 1 snapshot written to %s (render with: dot -Tpng %s)\n", *dotPath, *dotPath)
 	}
 
 	fmt.Fprintf(os.Stderr, "lab: %d stages — %d hits, %d misses, %d opened, %d materialized in %v (store %s)\n",

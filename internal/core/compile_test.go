@@ -72,18 +72,16 @@ func TestLoadRejectsCorruptCompiled(t *testing.T) {
 	}
 
 	encode := func(mutate func(p *persistedClassifier)) []byte {
-		p := persistedClassifier{
-			Features:            clf.extractor.Features,
-			MaliciousNameCounts: clf.extractor.MaliciousNameCounts,
-			ContributedIDs:      clf.extractor.ContributedIDs,
-			Imputed:             clf.extractor.Imputed,
-			Scaler:              clf.scaler,
-			Model:               clf.model,
-		}
-		cm := *clf.compiled
-		p.Compiled = &cm
-		mutate(&p)
 		var buf bytes.Buffer
+		if err := clf.Save(&buf); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		var p persistedClassifier
+		if err := gob.NewDecoder(&buf).Decode(&p); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		mutate(&p)
+		buf.Reset()
 		if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
 			t.Fatalf("encode: %v", err)
 		}

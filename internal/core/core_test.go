@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"frappe/internal/datasets"
 	"frappe/internal/graphapi"
 	"frappe/internal/mypagekeeper"
+	"frappe/internal/svm"
 	"frappe/internal/synth"
 )
 
@@ -446,12 +448,26 @@ func TestClassifierSaveLoad(t *testing.T) {
 			if err := clf.Save(&buf); err != nil {
 				t.Fatal(err)
 			}
-			// (Save bytes are NOT asserted stable across calls: gob walks the
-			// extractor's maps in randomised order. Behaviour, not encoding,
-			// is the contract.)
+			// Save is byte-stable: a second Save, and a Save of the loaded
+			// classifier, reproduce the bytes exactly, so a file's checksum
+			// identifies the model.
+			var again bytes.Buffer
+			if err := clf.Save(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+				t.Fatalf("%s: two Saves of one classifier differ", tc.mode)
+			}
 			clf2, err := Load(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
+			}
+			again.Reset()
+			if err := clf2.Save(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+				t.Fatalf("%s: Save of the loaded classifier differs from the bytes it was loaded from", tc.mode)
 			}
 			for _, r := range records {
 				v1, err1 := clf.Classify(r)
@@ -468,6 +484,38 @@ func TestClassifierSaveLoad(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Error("Load(junk): want error")
+	}
+}
+
+// TestLoadRejectsMapFormPayload: payloads written before the extractor's
+// maps became sorted entry slices carry the same field names with map
+// types. They must fail to decode, never decode into empty maps — a
+// classifier without its known-malicious names would silently misjudge.
+func TestLoadRejectsMapFormPayload(t *testing.T) {
+	records, labels := completeSet(t)
+	clf, err := Train(records, labels, Options{Features: FullFeatures(), Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(clf.extractor.MaliciousNameCounts) == 0 {
+		t.Fatal("trained classifier has no malicious names; the test would prove nothing")
+	}
+	legacy := struct {
+		Features            []Feature
+		MaliciousNameCounts map[string]int
+		ContributedIDs      map[string]bool
+		Imputed             map[Feature]float64
+		Scaler              *svm.Scaler
+		Model               *svm.Model
+	}{clf.extractor.Features, clf.extractor.MaliciousNameCounts, clf.extractor.ContributedIDs,
+		clf.extractor.Imputed, clf.scaler, clf.model}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Load(&buf); err == nil {
+		t.Fatalf("Load(map-form payload) = %d malicious names, want a decode error",
+			len(got.extractor.MaliciousNameCounts))
 	}
 }
 

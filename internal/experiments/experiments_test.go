@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"frappe/internal/core"
 )
 
 var (
@@ -152,6 +154,38 @@ func TestTable8(t *testing.T) {
 	}
 	if res.Report.ByTechnique[0] == 0 { // ValDeleted
 		t.Error("no deletions validated despite the §5.3 timeline")
+	}
+}
+
+// TestTrainFullDeterministic: the §5.3 model must not depend on map
+// iteration order. At this scale and seed, training in label-map order
+// made cold report runs disagree on Table 8's flagged count.
+func TestTrainFullDeterministic(t *testing.T) {
+	r, err := New(context.Background(), 0.02, 20121217)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	records, _ := r.completeSample()
+	var want []core.Verdict
+	for i := 0; i < 10; i++ {
+		clf, err := r.TrainFull()
+		if err != nil {
+			t.Fatalf("TrainFull: %v", err)
+		}
+		got, _, err := clf.ClassifyAll(records)
+		if err != nil {
+			t.Fatalf("ClassifyAll: %v", err)
+		}
+		if i == 0 {
+			want = got
+			continue
+		}
+		for j := range got {
+			if got[j].Score != want[j].Score {
+				t.Fatalf("TrainFull call %d: decision value for %s = %v, first call gave %v",
+					i, got[j].AppID, got[j].Score, want[j].Score)
+			}
+		}
 	}
 }
 

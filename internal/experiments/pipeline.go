@@ -28,18 +28,12 @@ type PipelineOptions struct {
 	Scale float64
 	// Seed overrides the paper-calibrated world seed; 0 keeps it.
 	Seed int64
-	// Quick skips the classifier experiments, like frappebench -quick.
+	// Quick skips the classifier experiments, like frappelab -quick.
 	Quick bool
 	// Table5Ratios overrides Table 5's training ratios (nil = the paper's
 	// 1, 4, 7, 10). The invalidation tests use it to change exactly one
 	// evaluation stage's config.
 	Table5Ratios []int
-	// WALDir puts a durable write-ahead log under world generation's
-	// ingestion stream (synth.Config.WALDir); WALResume replays an
-	// existing log and resumes past it. Neither enters stage fingerprints
-	// — the generated world is byte-identical either way.
-	WALDir    string
-	WALResume bool
 }
 
 func (o PipelineOptions) synthConfig() synth.Config {
@@ -51,14 +45,7 @@ func (o PipelineOptions) synthConfig() synth.Config {
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
-	cfg.WALDir = o.WALDir
-	cfg.WALResume = o.WALResume
 	return cfg
-}
-
-// WorldSeed returns the seed the pipeline's world will be generated with.
-func (o PipelineOptions) WorldSeed() int64 {
-	return o.synthConfig().Seed
 }
 
 func (o PipelineOptions) ratios() []int {
@@ -69,9 +56,9 @@ func (o PipelineOptions) ratios() []int {
 }
 
 // Section is one rendered block of the evaluation report. Sections() lists
-// them in the paper's print order; cmd/frappebench's monolithic path and
-// the DAG pipeline both render through the same Render funcs, which is what
-// makes their reports byte-identical by construction.
+// them in the paper's print order; RenderReport (the reference the DAG is
+// tested against) and the DAG pipeline both render through the same Render
+// funcs, which is what makes their reports byte-identical by construction.
 type Section struct {
 	// Name is the DAG stage name.
 	Name string
@@ -237,13 +224,10 @@ type labSeed struct {
 // anything.
 func Pipeline(opts PipelineOptions) []lab.Stage {
 	cfg := opts.synthConfig()
-	// Worker counts and WAL placement never enter fingerprints: the
-	// generated world is byte-identical at any ingestion width, with or
-	// without durability underneath.
+	// Worker counts never enter fingerprints: the generated world is
+	// byte-identical at any ingestion width.
 	fpCfg := cfg
 	fpCfg.IngestWorkers = 0
-	fpCfg.WALDir = ""
-	fpCfg.WALResume = false
 	seed := cfg.Seed
 
 	stages := []lab.Stage{
@@ -432,6 +416,32 @@ func Pipeline(opts PipelineOptions) []lab.Stage {
 		Open: func(data []byte) (any, error) { return string(data), nil },
 	})
 	return stages
+}
+
+// Fig1DOTStage renders Fig. 1's snapshot component (the paper's hairball)
+// as Graphviz DOT. It is not part of Pipeline: callers that want the
+// drawing append it, so the report DAG is unchanged without it.
+func Fig1DOTStage() lab.Stage {
+	return lab.Stage{
+		Name: "fig1dot",
+		Deps: []string{"generate", "crawl"},
+		Run: func(c *lab.StageContext) ([]byte, error) {
+			w, err := c.Value("generate")
+			if err != nil {
+				return nil, err
+			}
+			d, err := c.Value("crawl")
+			if err != nil {
+				return nil, err
+			}
+			r := &Runner{World: w.(*synth.World), Data: d.(*datasets.Datasets)}
+			var buf bytes.Buffer
+			if err := r.WriteFig1DOT(&buf); err != nil {
+				return nil, err
+			}
+			return buf.Bytes(), nil
+		},
+	}
 }
 
 // ---- artifact encodings ----

@@ -165,7 +165,7 @@ func TestFullPipelineInvalidationCone(t *testing.T) {
 
 	// A seed change reaches the world generator, so every stage re-runs.
 	reseeded := opts
-	reseeded.Seed = opts.WorldSeed() + 1
+	reseeded.Seed = opts.synthConfig().Seed + 1
 	res = labRun(t, dir, reseeded)
 	if res.Hits != 0 {
 		t.Errorf("after seed change: %d hits, want 0 (everything downstream of the world)", res.Hits)

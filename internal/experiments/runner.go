@@ -2,8 +2,8 @@
 // evaluation from a synthetic world. Each experiment returns typed rows
 // plus a Render() string shaped like the original table, and records the
 // paper's headline claim next to the measured value so EXPERIMENTS.md can
-// be produced mechanically. cmd/frappebench and the repository-level
-// benchmarks both drive this package.
+// be produced mechanically. cmd/frappelab, perfbench and the
+// repository-level benchmarks all drive this package.
 package experiments
 
 import (
@@ -31,15 +31,10 @@ type Runner struct {
 }
 
 // New generates a world at the given scale and assembles the datasets.
-// The context cancels the dataset build (and with it the crawl).
+// A zero scale or seed keeps the default, as in PipelineOptions. The
+// context cancels the dataset build (and with it the crawl).
 func New(ctx context.Context, scale float64, seed int64) (*Runner, error) {
-	return NewFromOptions(ctx, PipelineOptions{Scale: scale, Seed: seed})
-}
-
-// NewFromOptions is New with the full pipeline options applied — scale and
-// seed, plus WAL placement for a durable or resumed generation.
-func NewFromOptions(ctx context.Context, opts PipelineOptions) (*Runner, error) {
-	cfg := opts.synthConfig()
+	cfg := PipelineOptions{Scale: scale, Seed: seed}.synthConfig()
 	w := synth.Generate(cfg)
 	b := &datasets.Builder{World: w}
 	d, err := b.Build(ctx)

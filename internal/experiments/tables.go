@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 
 	"frappe/internal/core"
@@ -254,19 +255,26 @@ func (r *Runner) Table8(ctx context.Context) (Table8Result, error) {
 
 // TrainFull trains the full-feature FRAppE model on every crawlable
 // D-Sample app — the §5.3 sweep's classifier. The DAG pipeline runs it as
-// its own "train" stage.
+// its own "train" stage. Records enter training in app-ID order: SMO's
+// result depends on row order, so ranging over the label map would make
+// the model, and Table 8 with it, vary from run to run.
 func (r *Runner) TrainFull() (*core.Classifier, error) {
 	d := r.Data
 	labels := d.Labels()
+	ids := make([]string, 0, len(labels))
+	for id := range labels {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
 	var trainR []core.AppRecord
 	var trainL []bool
-	for id, l := range labels {
+	for _, id := range ids {
 		rec := core.AppRecord{ID: id, Crawl: d.Crawl[id], Stats: d.Stats[id]}
 		if rec.Crawl == nil || rec.Crawl.SummaryErr != nil {
 			continue
 		}
 		trainR = append(trainR, rec)
-		trainL = append(trainL, l == datasets.LabelMalicious)
+		trainL = append(trainL, labels[id] == datasets.LabelMalicious)
 	}
 	return core.Train(trainR, trainL, core.Options{Features: core.FullFeatures(), Seed: r.Seed})
 }

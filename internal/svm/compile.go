@@ -328,13 +328,7 @@ func (c *CompiledModel) DecisionValue(x []float64) float64 {
 	}
 	switch c.Mode {
 	case CompileExact:
-		s := c.B
-		d := c.InputDim
-		xNorm := SqNorm(x)
-		for i := range c.SVNorms {
-			s += c.Coef[i] * c.Kernel.EvalNorm(c.SVFlat[i*d:i*d+d], x, c.SVNorms[i], xNorm)
-		}
-		return s
+		return c.exactDecision(x)
 	case CompileRFF:
 		if c.runW == nil {
 			// Hand-decoded artifact that skipped Validate: build the
@@ -346,6 +340,20 @@ func (c *CompiledModel) DecisionValue(x []float64) float64 {
 	default:
 		return c.B
 	}
+}
+
+// exactDecision walks the flattened support-vector matrix: one dot
+// product per support vector, the RBF distance recovered from the cached
+// norms. Summation is in SV order, so a Model and its exact compiled form,
+// single and batch, agree bit-for-bit.
+func (c *CompiledModel) exactDecision(x []float64) float64 {
+	s := c.B
+	d := c.InputDim
+	xNorm := SqNorm(x)
+	for i := range c.SVNorms {
+		s += c.Coef[i] * c.Kernel.EvalNorm(c.SVFlat[i*d:i*d+d], x, c.SVNorms[i], xNorm)
+	}
+	return s
 }
 
 // rffDecision walks the feature map four rows at a time: the four dot

@@ -1,6 +1,7 @@
 package frappe
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -35,6 +36,28 @@ func trainLifecycle(t *testing.T, seed int64, drop int) *Classifier {
 		t.Fatal(err)
 	}
 	return clf
+}
+
+// TestFileModelIDStableAcrossReplicas: two watchdogs loaded from one flat
+// model file must stamp the same model_version. A flat file's ModelID is
+// the checksum of the classifier's re-serialised bytes, so this holds only
+// while Save is byte-stable.
+func TestFileModelIDStableAcrossReplicas(t *testing.T) {
+	var file bytes.Buffer
+	if err := trainLifecycle(t, 3, 0).Save(&file); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 2; i++ {
+		wd, err := NewWatchdogFrom(bytes.NewReader(file.Bytes()), "http://127.0.0.1:9", "http://127.0.0.1:9")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, wd.ServingManifest().ModelID())
+	}
+	if ids[0] != ids[1] {
+		t.Fatalf("replicas loaded from one file report model IDs %s and %s", ids[0], ids[1])
+	}
 }
 
 // TestRegistryRoundTripVerdictParity: a classifier loaded back out of the
