@@ -87,12 +87,12 @@ type Ingester struct {
 	encBuf       []byte // event-encoding scratch, reused across appends
 	closeErr     error
 
-	posts     *telemetry.CounterVec
-	flushes   *telemetry.CounterVec
-	barriers  *telemetry.CounterVec
-	walErrs   *telemetry.CounterVec
-	walEvents *telemetry.CounterVec
-	seconds   *telemetry.GaugeVec
+	posts     *telemetry.Counter
+	flushes   *telemetry.Counter
+	barriers  *telemetry.Counter
+	walErrs   *telemetry.Counter
+	walEvents *telemetry.Counter
+	seconds   *telemetry.Gauge
 }
 
 // StartIngest opens a queued-ingestion session with the given number of
@@ -130,17 +130,17 @@ func (m *Monitor) StartIngestWith(cfg IngestConfig) *Ingester {
 		skip:         cfg.SkipEvents,
 		applySkipped: cfg.SkipLogOnly,
 		posts: reg.Counter("frappe_monitor_ingest_posts_total",
-			"Posts enqueued through the monitor's ingestion queues."),
+			"Posts enqueued through the monitor's ingestion queues.").With(),
 		flushes: reg.Counter("frappe_monitor_ingest_flushes_total",
-			"Full-queue flush barriers issued during ingestion."),
+			"Full-queue flush barriers issued during ingestion.").With(),
 		barriers: reg.Counter("frappe_monitor_ingest_blacklist_barriers_total",
-			"Flush barriers forced by blacklist updates mid-stream."),
+			"Flush barriers forced by blacklist updates mid-stream.").With(),
 		walEvents: reg.Counter("frappe_monitor_ingest_wal_events_total",
-			"Ingestion events appended to the write-ahead log."),
+			"Ingestion events appended to the write-ahead log.").With(),
 		walErrs: reg.Counter("frappe_monitor_ingest_wal_errors_total",
-			"Ingestion WAL appends or syncs that failed."),
+			"Ingestion WAL appends or syncs that failed.").With(),
 		seconds: reg.Gauge("frappe_monitor_ingest_session_seconds",
-			"Wall-clock seconds of the last queued-ingestion session."),
+			"Wall-clock seconds of the last queued-ingestion session.").With(),
 	}
 	reg.Gauge("frappe_monitor_shards",
 		"Lock stripes in the MyPageKeeper monitor.").With().Set(float64(m.NumShards()))
@@ -205,13 +205,13 @@ func (ing *Ingester) logEvent(ev WALEvent) {
 		_, err = ing.wal.Append(buf)
 	}
 	if err != nil {
-		ing.walErrs.With().Inc()
+		ing.walErrs.Inc()
 		if ing.walErr == nil {
 			ing.walErr = err
 		}
 		return
 	}
-	ing.walEvents.With().Inc()
+	ing.walEvents.Inc()
 }
 
 // syncWAL is the durability barrier: everything logged so far survives a
@@ -221,7 +221,7 @@ func (ing *Ingester) syncWAL() {
 		return
 	}
 	if err := ing.wal.Sync(); err != nil {
-		ing.walErrs.With().Inc()
+		ing.walErrs.Inc()
 		if ing.walErr == nil {
 			ing.walErr = err
 		}
@@ -242,7 +242,7 @@ func (ing *Ingester) Observe(p fbplatform.Post) {
 	seq := ing.m.seq.Add(1)
 	if ing.queues == nil {
 		ing.m.observeSeq(p, seq)
-		ing.posts.With().Inc()
+		ing.posts.Inc()
 		return
 	}
 	var qi uint64
@@ -255,7 +255,7 @@ func (ing *Ingester) Observe(p fbplatform.Post) {
 		qi = seq % uint64(len(ing.queues))
 	}
 	ing.queues[qi] <- ingestItem{post: p, seq: seq}
-	ing.posts.With().Inc()
+	ing.posts.Inc()
 }
 
 // ObserveInstall logs a user installing an app. The monitor keeps no
@@ -288,7 +288,7 @@ func (ing *Ingester) Flush() {
 
 func (ing *Ingester) flushQueues() {
 	if ing.queues == nil {
-		ing.flushes.With().Inc()
+		ing.flushes.Inc()
 		return
 	}
 	var wg sync.WaitGroup
@@ -297,7 +297,7 @@ func (ing *Ingester) flushQueues() {
 		q <- ingestItem{flush: &wg}
 	}
 	wg.Wait()
-	ing.flushes.With().Inc()
+	ing.flushes.Inc()
 }
 
 // AddBlacklistedURL adds a URL-granularity blacklist entry, sequenced
@@ -319,7 +319,7 @@ func (ing *Ingester) AddBlacklistedURL(url string) {
 	if ing.m.urlBlacklistedExact(url) {
 		return
 	}
-	ing.barriers.With().Inc()
+	ing.barriers.Inc()
 	ing.flushQueues()
 	ing.syncWAL()
 	ing.m.AddBlacklistedURL(url)
@@ -338,7 +338,7 @@ func (ing *Ingester) AddBlacklistedDomain(domain string) {
 	if ing.m.domainBlacklistedExact(domain) {
 		return
 	}
-	ing.barriers.With().Inc()
+	ing.barriers.Inc()
 	ing.flushQueues()
 	ing.syncWAL()
 	ing.m.AddBlacklistedDomain(domain)
@@ -363,7 +363,7 @@ func (ing *Ingester) Close() error {
 	}
 	ing.wg.Wait()
 	ing.syncWAL()
-	ing.seconds.With().Set(time.Since(ing.started).Seconds())
+	ing.seconds.Set(time.Since(ing.started).Seconds())
 	if ing.skip > 0 {
 		// The resumed stream ended before covering the replayed prefix:
 		// the producer did not regenerate the same stream. State is fine

@@ -31,6 +31,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"frappe/internal/fbplatform"
 	"frappe/internal/wot"
@@ -69,7 +70,9 @@ func DefaultClassifierConfig() ClassifierConfig {
 	}
 }
 
-// urlStats aggregates every observation of one URL across posts.
+// urlStats aggregates every observation of one URL across posts, and
+// memoizes the per-URL work classification repeats for every post that
+// carries it. The memo is read and written under the URL's shard lock.
 type urlStats struct {
 	posts        int
 	keywordPosts int
@@ -77,6 +80,18 @@ type urlStats struct {
 	// message histogram, capped: campaign posts repeat a handful of texts.
 	messages map[string]int
 	flagged  bool
+
+	// external reports a link outside facebook.com (§4.2.2), fixed at
+	// the URL's first sight.
+	external bool
+	// target is the URL the resolver last expanded the link to (the link
+	// itself when it is not a short link) and targetDomain its domain;
+	// both are recomputed only when the resolver's answer changes.
+	target, targetDomain string
+	// cleanEpoch is the blacklist epoch at which target was last found
+	// on no blacklist; 0 means never. While Monitor.blEpoch still equals
+	// it, the blacklist lookup cannot answer differently and is skipped.
+	cleanEpoch uint64
 }
 
 const maxTrackedMessages = 32
@@ -131,6 +146,10 @@ type Monitor struct {
 	blMu      sync.RWMutex
 	blacklist map[string]bool
 	urlBlack  map[string]bool
+	// blEpoch counts blacklist inserts, starting at 1; it is bumped under
+	// blMu's write lock, so a urlStats.cleanEpoch stamp equal to it proves
+	// the blacklists have not changed since that URL was found clean.
+	blEpoch atomic.Uint64
 
 	urlShards []urlShard
 	appShards []appShard
@@ -206,6 +225,7 @@ func NewSharded(cfg ClassifierConfig, shards int) *Monitor {
 		urlShards:  make([]urlShard, shards),
 		appShards:  make([]appShard, shards),
 	}
+	m.blEpoch.Store(1)
 	for i := range m.urlShards {
 		m.urlShards[i].urls = make(map[string]*urlStats)
 	}
@@ -267,7 +287,10 @@ func (m *Monitor) NumSubscribers() int {
 func (m *Monitor) AddBlacklistedDomain(domain string) {
 	m.blMu.Lock()
 	defer m.blMu.Unlock()
-	m.blacklist[strings.ToLower(domain)] = true
+	if d := strings.ToLower(domain); !m.blacklist[d] {
+		m.blacklist[d] = true
+		m.blEpoch.Add(1)
+	}
 }
 
 // AddBlacklistedURL blacklists one exact URL; public blacklists carry both
@@ -275,7 +298,10 @@ func (m *Monitor) AddBlacklistedDomain(domain string) {
 func (m *Monitor) AddBlacklistedURL(url string) {
 	m.blMu.Lock()
 	defer m.blMu.Unlock()
-	m.urlBlack[url] = true
+	if !m.urlBlack[url] {
+		m.urlBlack[url] = true
+		m.blEpoch.Add(1)
+	}
 }
 
 // urlBlacklistedExact reports whether the exact URL is already an entry
@@ -294,7 +320,10 @@ func (m *Monitor) domainBlacklistedExact(domain string) bool {
 	return m.blacklist[strings.ToLower(domain)]
 }
 
-// hasSpamKeyword reports whether msg contains any spam lure keyword.
+// hasSpamKeyword reports whether msg contains any spam lure keyword. The
+// monitor passes normalizeMsg output: keywords hold no whitespace, so the
+// answer is the same as for the raw text, and lowercasing text that is
+// already lower case is a scan without an allocation.
 func hasSpamKeyword(msg string) bool {
 	lower := strings.ToLower(msg)
 	for _, k := range SpamKeywords {
@@ -334,32 +363,36 @@ func (m *Monitor) observeSeq(p fbplatform.Post, seq uint64) bool {
 	// (the flag point, the capped message histogram) depends only on the
 	// sequence of posts carrying this one URL, which a shard's mutex —
 	// and, under an Ingester, per-URL queue routing — preserves.
-	flagged := false
+	flagged, external := false, false
 	if p.Link != "" {
 		sh := m.urlShardFor(p.Link)
 		sh.mu.Lock()
 		us := sh.urls[p.Link]
 		if us == nil {
-			us = &urlStats{messages: make(map[string]int, 4)}
+			d := wot.DomainOf(p.Link)
+			us = &urlStats{
+				messages:     make(map[string]int, 4),
+				external:     isExternalDomain(d),
+				target:       p.Link,
+				targetDomain: d,
+			}
 			sh.urls[p.Link] = us
 		}
 		us.posts++
-		if hasSpamKeyword(p.Message) {
+		msg := normalizeMsg(p.Message)
+		if hasSpamKeyword(msg) {
 			us.keywordPosts++
 		}
 		us.likesTotal += p.Likes
-		if len(us.messages) < maxTrackedMessages {
-			us.messages[normalizeMsg(p.Message)]++
-		} else {
-			// Track only already-seen messages once the histogram is full.
-			if _, ok := us.messages[normalizeMsg(p.Message)]; ok {
-				us.messages[normalizeMsg(p.Message)]++
-			}
+		if n, ok := us.messages[msg]; ok || len(us.messages) < maxTrackedMessages {
+			// Once the histogram is full only already-seen messages count.
+			us.messages[msg] = n + 1
 		}
 		if !us.flagged {
 			us.flagged = m.classify(p.Link, us)
 		}
 		flagged = us.flagged
+		external = us.external
 		sh.mu.Unlock()
 	}
 
@@ -381,7 +414,7 @@ func (m *Monitor) observeSeq(p fbplatform.Post, seq uint64) bool {
 		as.posts++
 		if p.Link != "" {
 			as.linkPosts++
-			if isExternal(p.Link) {
+			if external {
 				as.externalLinks++
 			}
 			as.links.add(seq, p.Link)
@@ -402,7 +435,10 @@ func (m *Monitor) observeSeq(p fbplatform.Post, seq uint64) bool {
 
 // classify applies the URL classifier: blacklist short-circuit, then the
 // campaign heuristics. Called with the URL's shard lock held; it takes
-// blMu.RLock underneath, which is the one permitted nesting.
+// blMu.RLock underneath, which is the one permitted nesting. The resolver
+// is asked on every call (it may read live service state); the blacklist
+// lookup runs only when the target or the blacklists changed since the
+// URL was last found clean.
 func (m *Monitor) classify(link string, us *urlStats) bool {
 	target := link
 	if rp := m.resolve.Load(); rp != nil {
@@ -410,11 +446,18 @@ func (m *Monitor) classify(link string, us *urlStats) bool {
 			target = long
 		}
 	}
-	m.blMu.RLock()
-	bad := m.urlBlack[target] || m.domainBlacklistedLocked(wot.DomainOf(target))
-	m.blMu.RUnlock()
-	if bad {
-		return true
+	if target != us.target {
+		us.target, us.targetDomain, us.cleanEpoch = target, wot.DomainOf(target), 0
+	}
+	if us.cleanEpoch != m.blEpoch.Load() {
+		m.blMu.RLock()
+		bad := m.urlBlack[target] || m.domainBlacklistedLocked(us.targetDomain)
+		epoch := m.blEpoch.Load()
+		m.blMu.RUnlock()
+		if bad {
+			return true
+		}
+		us.cleanEpoch = epoch
 	}
 	if us.posts < m.cfg.MinPosts {
 		return false
@@ -457,14 +500,40 @@ func (m *Monitor) domainBlacklistedLocked(domain string) bool {
 	return false
 }
 
-// normalizeMsg canonicalises post text for the similarity histogram.
+// normalizeMsg canonicalises post text for the similarity histogram:
+// strings.Join(strings.Fields(strings.ToLower(msg)), " "). ASCII text —
+// nearly every post — is folded in one pass with at most one allocation,
+// and none when msg is already in canonical form.
 func normalizeMsg(msg string) string {
-	return strings.Join(strings.Fields(strings.ToLower(msg)), " ")
+	var buf [128]byte
+	out := buf[:0]
+	space := false
+	for i := 0; i < len(msg); i++ {
+		c := msg[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			return strings.Join(strings.Fields(strings.ToLower(msg)), " ")
+		case c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r':
+			space = len(out) > 0
+			continue
+		case 'A' <= c && c <= 'Z':
+			c += 'a' - 'A'
+		}
+		if space {
+			out = append(out, ' ')
+			space = false
+		}
+		out = append(out, c)
+	}
+	if string(out) == msg {
+		return msg
+	}
+	return string(out)
 }
 
-// isExternal reports whether link points outside facebook.com (§4.2.2).
-func isExternal(link string) bool {
-	d := wot.DomainOf(link)
+// isExternalDomain reports whether a link's domain lies outside
+// facebook.com (§4.2.2).
+func isExternalDomain(d string) bool {
 	return d != "facebook.com" && !strings.HasSuffix(d, ".facebook.com")
 }
 

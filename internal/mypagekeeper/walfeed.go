@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"frappe/internal/fbplatform"
 	"frappe/internal/wal"
@@ -96,84 +97,113 @@ func AppendEvent(dst []byte, ev WALEvent) ([]byte, error) {
 	return dst, nil
 }
 
-// eventReader decodes primitives with bounds checking.
-type eventReader struct{ rest []byte }
+// eventReader decodes primitives with bounds checking. The first failure
+// sticks: later reads return zero values, and err reports it once the
+// whole event has been read. Only AppendEvent's canonical forms are
+// accepted (minimal varints, integers that fit an int, booleans 0 or 1),
+// so every decodable record re-encodes to itself.
+type eventReader struct {
+	rest []byte
+	err  error
+}
 
-func (r *eventReader) uvarint() (uint64, error) {
+func (r *eventReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
 	v, n := binary.Uvarint(r.rest)
-	if n <= 0 {
-		return 0, ErrBadEvent
+	if n <= 0 || (n > 1 && r.rest[n-1] == 0) { // overflow, or not minimal
+		r.err = ErrBadEvent
+		return 0
 	}
 	r.rest = r.rest[n:]
-	return v, nil
+	return v
 }
 
-func (r *eventReader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil || n > uint64(len(r.rest)) {
-		return "", ErrBadEvent
+// natural reads a uvarint that must fit a non-negative int.
+func (r *eventReader) natural() int {
+	v := r.uvarint()
+	if v > math.MaxInt {
+		r.err = ErrBadEvent
+		return 0
 	}
-	s := string(r.rest[:n])
-	r.rest = r.rest[n:]
-	return s, nil
+	return int(v)
 }
 
-func (r *eventReader) byte() (byte, error) {
+// field reads a length-prefixed byte string, aliasing the record.
+func (r *eventReader) field() []byte {
+	n := r.uvarint()
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(len(r.rest)) {
+		r.err = ErrBadEvent
+		return nil
+	}
+	b := r.rest[:n]
+	r.rest = r.rest[n:]
+	return b
+}
+
+func (r *eventReader) str() string { return string(r.field()) }
+
+func (r *eventReader) byte() byte {
+	if r.err != nil {
+		return 0
+	}
 	if len(r.rest) == 0 {
-		return 0, ErrBadEvent
+		r.err = ErrBadEvent
+		return 0
 	}
 	b := r.rest[0]
 	r.rest = r.rest[1:]
-	return b, nil
+	return b
+}
+
+func (r *eventReader) bool() bool {
+	b := r.byte()
+	if b > 1 {
+		r.err = ErrBadEvent
+	}
+	return b == 1
 }
 
 // DecodeEvent decodes one event. Trailing bytes are an error: a record
 // holds exactly one event.
 func DecodeEvent(data []byte) (WALEvent, error) {
-	r := &eventReader{rest: data}
-	kind, err := r.byte()
-	if err != nil {
-		return WALEvent{}, err
+	r := eventReader{rest: data}
+	kind := r.byte()
+	if r.err != nil {
+		return WALEvent{}, r.err
 	}
 	ev := WALEvent{Kind: EventKind(kind)}
 	switch ev.Kind {
 	case KindPost:
-		var p fbplatform.Post
-		var user, month, likes uint64
-		var mal byte
-		steps := []func() error{
-			func() (e error) { p.AppID, e = r.str(); return },
-			func() (e error) { p.SourceAppID, e = r.str(); return },
-			func() (e error) { user, e = r.uvarint(); return },
-			func() (e error) { p.Message, e = r.str(); return },
-			func() (e error) { p.Link, e = r.str(); return },
-			func() (e error) { month, e = r.uvarint(); return },
-			func() (e error) { likes, e = r.uvarint(); return },
-			func() (e error) { mal, e = r.byte(); return },
+		p := &ev.Post
+		p.AppID = r.str()
+		// A post's source app is its app unless it was piggybacked:
+		// share the string rather than copy it again.
+		if src := r.field(); string(src) == p.AppID {
+			p.SourceAppID = p.AppID
+		} else {
+			p.SourceAppID = string(src)
 		}
-		for _, step := range steps {
-			if err := step(); err != nil {
-				return WALEvent{}, err
-			}
-		}
-		p.UserID, p.Month, p.Likes = int(user), int(month), int(likes)
-		p.MaliciousLink = mal == 1
-		ev.Post = p
+		p.UserID = r.natural()
+		p.Message = r.str()
+		p.Link = r.str()
+		p.Month = r.natural()
+		p.Likes = r.natural()
+		p.MaliciousLink = r.bool()
 	case KindBlacklistURL, KindBlacklistDomain:
-		if ev.Value, err = r.str(); err != nil {
-			return WALEvent{}, err
-		}
+		ev.Value = r.str()
 	case KindInstall, KindRemoval:
-		var user uint64
-		if ev.AppID, err = r.str(); err != nil {
-			return WALEvent{}, err
-		}
-		if user, err = r.uvarint(); err != nil {
-			return WALEvent{}, err
-		}
-		ev.UserID = int(user)
+		ev.AppID = r.str()
+		ev.UserID = r.natural()
 	default:
 		return WALEvent{}, fmt.Errorf("%w: kind %d", ErrBadEvent, kind)
+	}
+	if r.err != nil {
+		return WALEvent{}, r.err
 	}
 	if len(r.rest) != 0 {
 		return WALEvent{}, fmt.Errorf("%w: %d trailing bytes", ErrBadEvent, len(r.rest))

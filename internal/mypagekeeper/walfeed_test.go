@@ -14,21 +14,24 @@ import (
 	"frappe/internal/wal"
 )
 
+// codecVectors are the event codec's test vectors, shared with the
+// FuzzDecodeEvent seed corpus.
+var codecVectors = []WALEvent{
+	{Kind: KindPost, Post: fbplatform.Post{
+		AppID: "app01", SourceAppID: "app02", UserID: 42,
+		Message: "FREE ipad, hurry!", Link: "http://scam0.example/lure",
+		Month: 7, Likes: 3, MaliciousLink: true,
+	}},
+	{Kind: KindPost, Post: fbplatform.Post{}}, // all zero values
+	{Kind: KindBlacklistURL, Value: "http://scam1.example/lure"},
+	{Kind: KindBlacklistDomain, Value: "evil0.example"},
+	{Kind: KindBlacklistURL, Value: ""}, // degenerate but encodable
+	{Kind: KindInstall, AppID: "app03", UserID: 9},
+	{Kind: KindRemoval, AppID: "app03", UserID: 9},
+}
+
 func TestEventCodecRoundTrip(t *testing.T) {
-	events := []WALEvent{
-		{Kind: KindPost, Post: fbplatform.Post{
-			AppID: "app01", SourceAppID: "app02", UserID: 42,
-			Message: "FREE ipad, hurry!", Link: "http://scam0.example/lure",
-			Month: 7, Likes: 3, MaliciousLink: true,
-		}},
-		{Kind: KindPost, Post: fbplatform.Post{}}, // all zero values
-		{Kind: KindBlacklistURL, Value: "http://scam1.example/lure"},
-		{Kind: KindBlacklistDomain, Value: "evil0.example"},
-		{Kind: KindBlacklistURL, Value: ""}, // degenerate but encodable
-		{Kind: KindInstall, AppID: "app03", UserID: 9},
-		{Kind: KindRemoval, AppID: "app03", UserID: 9},
-	}
-	for i, ev := range events {
+	for i, ev := range codecVectors {
 		buf, err := AppendEvent(nil, ev)
 		if err != nil {
 			t.Fatalf("event %d: AppendEvent: %v", i, err)

@@ -24,6 +24,11 @@ func tailFixture(t *testing.T, keep int) (dir, segPath string, tailStart int64) 
 			t.Fatal(err)
 		}
 	}
+	// Appends reach the file at barriers: sync so the size below is where
+	// the tail record will start.
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	segs, err := listSegments(dir)
 	if err != nil {
 		t.Fatal(err)

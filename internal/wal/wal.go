@@ -23,6 +23,15 @@
 // and truncates at the first record whose length or checksum does not
 // hold, so the log always reopens to a valid prefix of what was appended.
 //
+// Visibility contract: Append frames records into a fixed 64 KiB
+// in-process buffer that reaches the segment file in one write(2) when it
+// fills, and at every Sync, rotation and Close. Other processes therefore
+// see appends at those points, and a process killed between barriers
+// (SIGKILL included, not only power loss) may lose its unsynced tail —
+// which the fsync contract above already allowed. A Reader of the same
+// Log flushes the buffer when it is created and whenever it reaches the
+// tail, so same-process readers still see every appended record.
+//
 // Consumers are named cursors into the record index space. An offset is
 // committed atomically (temp file + fsync + rename + dir fsync) and is
 // the "everything before this has been fully processed" watermark, letting
@@ -32,6 +41,7 @@
 //
 //	frappe_wal_appended_records_total   records appended
 //	frappe_wal_appended_bytes_total     payload + framing bytes appended
+//	frappe_wal_writes_total             write(2) calls on segment files
 //	frappe_wal_fsync_total              file fsyncs issued
 //	frappe_wal_segment_rotations_total  segment rotations
 //	frappe_wal_truncated_tail_bytes_total bytes cut by torn-tail recovery
@@ -62,6 +72,13 @@ const (
 	segSuffix  = ".wal"
 	offsetsDir = "offsets"
 	headerSize = 8 // uint32 length + uint32 crc
+
+	// writeBufBytes is the append buffer: records accumulate here and
+	// reach the segment file in one write when it fills (or at a barrier).
+	writeBufBytes = 64 << 10
+
+	// readChunkBytes is how far a Reader reads ahead in one read call.
+	readChunkBytes = 64 << 10
 
 	// DefaultSegmentBytes is the rotation threshold when Options leaves it
 	// zero: small enough that sealing (and fsyncing) happens regularly,
@@ -110,13 +127,14 @@ type Log struct {
 	next       uint64 // index the next appended record receives
 	unsynced   int    // records appended since the last fsync
 	closed     bool
-	buf        []byte // framing scratch, reused across appends
+	pending    []byte // framed records not yet written (cap writeBufBytes)
 
-	appended  *telemetry.CounterVec
-	bytes     *telemetry.CounterVec
-	fsyncs    *telemetry.CounterVec
-	rotations *telemetry.CounterVec
-	replayed  *telemetry.CounterVec
+	appended  *telemetry.Counter
+	bytes     *telemetry.Counter
+	writes    *telemetry.Counter
+	fsyncs    *telemetry.Counter
+	rotations *telemetry.Counter
+	replayed  *telemetry.Counter
 	offsetG   *telemetry.GaugeVec
 	lagG      *telemetry.GaugeVec
 }
@@ -135,18 +153,21 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	reg := telemetry.Default()
 	l := &Log{
-		dir:  dir,
-		opts: opts,
+		dir:     dir,
+		opts:    opts,
+		pending: make([]byte, 0, writeBufBytes),
 		appended: reg.Counter("frappe_wal_appended_records_total",
-			"Records appended to the ingestion WAL."),
+			"Records appended to the ingestion WAL.").With(),
 		bytes: reg.Counter("frappe_wal_appended_bytes_total",
-			"Bytes (payload plus framing) appended to the ingestion WAL."),
+			"Bytes (payload plus framing) appended to the ingestion WAL.").With(),
+		writes: reg.Counter("frappe_wal_writes_total",
+			"write(2) calls on ingestion WAL segments (records per write = appended / writes).").With(),
 		fsyncs: reg.Counter("frappe_wal_fsync_total",
-			"File fsyncs issued by the ingestion WAL."),
+			"File fsyncs issued by the ingestion WAL.").With(),
 		rotations: reg.Counter("frappe_wal_segment_rotations_total",
-			"Segment rotations of the ingestion WAL."),
+			"Segment rotations of the ingestion WAL.").With(),
 		replayed: reg.Counter("frappe_wal_replay_records_total",
-			"Records handed to WAL readers (replay and tailing)."),
+			"Records handed to WAL readers (replay and tailing).").With(),
 		offsetG: reg.Gauge("frappe_wal_consumer_offset",
 			"Last committed WAL offset, per named consumer.", "consumer"),
 		lagG: reg.Gauge("frappe_wal_consumer_lag",
@@ -185,7 +206,7 @@ func Open(dir string, opts Options) (*Log, error) {
 			return nil, fmt.Errorf("wal: syncing truncated %s: %w", last.name, err)
 		}
 		truncCounter.With().Add(uint64(fileLen - validLen))
-		l.fsyncs.With().Inc()
+		l.fsyncs.Inc()
 	}
 	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
 		f.Close()
@@ -279,8 +300,10 @@ func (l *Log) startSegment(base uint64) error {
 }
 
 // Append adds one record and returns its index. The record is durable
-// after the next Sync / rotation / SyncEvery-triggered fsync, and is
-// immediately visible to readers (same process or not).
+// after the next Sync / rotation / SyncEvery-triggered fsync. It is
+// visible at once to Readers of this Log; other processes see it once the
+// append buffer is written — when it fills, or at the next Sync, rotation
+// or Close.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	if len(payload) == 0 {
 		return 0, errors.New("wal: empty record")
@@ -294,22 +317,23 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		return 0, ErrClosed
 	}
 	need := headerSize + len(payload)
-	if cap(l.buf) < need {
-		l.buf = make([]byte, need)
+	if len(l.pending) > 0 && len(l.pending)+need > writeBufBytes {
+		if err := l.flushLocked(); err != nil {
+			return 0, fmt.Errorf("wal: appending record %d: %w", l.next, err)
+		}
 	}
-	frame := l.buf[:need]
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-	copy(frame[headerSize:], payload)
-	if _, err := l.active.Write(frame); err != nil {
-		return 0, fmt.Errorf("wal: appending record %d: %w", l.next, err)
-	}
+	var hdr [headerSize]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
+	// A record larger than the buffer grows it for this one frame;
+	// flushLocked shrinks it back.
+	l.pending = append(append(l.pending, hdr[:]...), payload...)
 	idx := l.next
 	l.next++
 	l.activeOff += int64(need)
 	l.unsynced++
-	l.appended.With().Inc()
-	l.bytes.With().Add(uint64(need))
+	l.appended.Inc()
+	l.bytes.Add(uint64(need))
 	if l.opts.SyncEvery > 0 && l.unsynced >= l.opts.SyncEvery {
 		if err := l.syncLocked(); err != nil {
 			return 0, err
@@ -323,8 +347,41 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	return idx, nil
 }
 
+// flushLocked writes the append buffer to the active segment in one
+// write. On a failed write the bytes that did not land stay buffered, so
+// a later flush continues exactly where the file ends.
+func (l *Log) flushLocked() error {
+	if len(l.pending) == 0 {
+		return nil
+	}
+	n, err := l.active.Write(l.pending)
+	l.writes.Inc()
+	if err != nil {
+		l.pending = l.pending[:copy(l.pending, l.pending[n:])]
+		return fmt.Errorf("wal: write: %w", err)
+	}
+	if cap(l.pending) > writeBufBytes {
+		l.pending = make([]byte, 0, writeBufBytes)
+	} else {
+		l.pending = l.pending[:0]
+	}
+	return nil
+}
+
+// flush makes buffered appends visible in the segment file without
+// fsyncing them: what a same-process Reader calls before reading.
+func (l *Log) flush() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil
+	}
+	return l.flushLocked()
+}
+
 // Sync makes every appended record durable — the barrier the ingester
-// issues around blacklist adds, flushes and session close.
+// issues around blacklist adds, flushes and session close. It writes the
+// append buffer first, so every record appended before Sync is covered.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -335,6 +392,9 @@ func (l *Log) Sync() error {
 }
 
 func (l *Log) syncLocked() error {
+	if err := l.flushLocked(); err != nil {
+		return err
+	}
 	if l.unsynced == 0 {
 		return nil
 	}
@@ -342,26 +402,30 @@ func (l *Log) syncLocked() error {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	l.unsynced = 0
-	l.fsyncs.With().Inc()
+	l.fsyncs.Inc()
 	return nil
 }
 
 // rotateLocked seals the active segment (fsync + close) and starts the
 // next one. A sealed segment is never written again.
 func (l *Log) rotateLocked() error {
+	if err := l.flushLocked(); err != nil {
+		return fmt.Errorf("wal: flushing before rotation: %w", err)
+	}
 	if err := l.active.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync before rotation: %w", err)
 	}
-	l.fsyncs.With().Inc()
+	l.fsyncs.Inc()
 	l.unsynced = 0
 	if err := l.active.Close(); err != nil {
 		return fmt.Errorf("wal: sealing segment: %w", err)
 	}
-	l.rotations.With().Inc()
+	l.rotations.Inc()
 	return l.startSegment(l.next)
 }
 
-// Close syncs and closes the log. Further writes fail with ErrClosed.
+// Close writes the append buffer, syncs and closes the log. Further
+// writes fail with ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -472,21 +536,27 @@ func (l *Log) Consumers() (map[string]uint64, error) {
 // holds its own file handles, so it is safe alongside the writer; on the
 // newest segment an incomplete or checksum-failing tail reads as io.EOF
 // (the writer may be mid-append), while the same anomaly in a sealed
-// segment is ErrCorrupt.
+// segment is ErrCorrupt. It reads ahead in chunks of at least 64 KiB and
+// parses frames out of that buffer.
 type Reader struct {
 	log  *Log
 	segs []segment
 	si   int      // index into segs of the open segment
 	f    *os.File // open segment file
-	off  int64    // byte offset into f
+	off  int64    // byte offset into f of the next frame
 	next uint64   // index of the next record to return
-	hdr  [headerSize]byte
-	buf  []byte
+
+	// buf holds the segment bytes [bufStart, bufStart+len(buf)).
+	buf      []byte
+	bufStart int64
 }
 
 // Reader returns an iterator positioned at record index from. Requesting
 // an index past End() yields io.EOF on the first Next.
 func (l *Log) Reader(from uint64) (*Reader, error) {
+	if err := l.flush(); err != nil {
+		return nil, err
+	}
 	segs, err := listSegments(l.dir)
 	if err != nil {
 		return nil, err
@@ -499,7 +569,8 @@ func (l *Log) Reader(from uint64) (*Reader, error) {
 	if si < 0 {
 		return nil, fmt.Errorf("wal: no segment covers record %d", from)
 	}
-	r := &Reader{log: l, segs: segs, si: si, next: segs[si].base}
+	r := &Reader{log: l, segs: segs, si: si, next: segs[si].base,
+		buf: make([]byte, 0, readChunkBytes)}
 	if err := r.open(); err != nil {
 		return nil, err
 	}
@@ -522,6 +593,7 @@ func (r *Reader) open() error {
 		return fmt.Errorf("wal: opening segment for read: %w", err)
 	}
 	r.f, r.off = f, 0
+	r.buf, r.bufStart = r.buf[:0], 0
 	return nil
 }
 
@@ -529,12 +601,13 @@ func (r *Reader) open() error {
 // of the log (for now — appending more and calling Next again works). The
 // returned slice is reused by the following Next call.
 func (r *Reader) Next() ([]byte, uint64, error) {
+	flushed := false
 	for {
 		payload, err := r.readRecord()
 		if err == nil {
 			idx := r.next
 			r.next++
-			r.log.replayed.With().Inc()
+			r.log.replayed.Inc()
 			return payload, idx, nil
 		}
 		if !errors.Is(err, io.EOF) {
@@ -543,6 +616,15 @@ func (r *Reader) Next() ([]byte, uint64, error) {
 		// End of this segment. If a later segment exists, the current one is
 		// sealed and must have ended cleanly; otherwise this is the tail.
 		if r.si+1 >= len(r.segs) {
+			// Records this process appended may still sit in the Log's
+			// append buffer: write it out and look again, once.
+			if !flushed {
+				flushed = true
+				if err := r.log.flush(); err != nil {
+					return nil, 0, err
+				}
+				continue
+			}
 			// The writer may have rotated since this Reader was created —
 			// refresh the directory listing once before declaring EOF.
 			segs, lerr := listSegments(r.log.dir)
@@ -567,36 +649,61 @@ func (r *Reader) Next() ([]byte, uint64, error) {
 	}
 }
 
-// readRecord reads one frame at r.off. io.EOF means "no complete valid
+// readRecord parses one frame at r.off. io.EOF means "no complete valid
 // record here": a clean end-of-segment, a torn tail, or a corrupt record —
-// the caller disambiguates by whether a later segment exists.
+// the caller disambiguates by whether a later segment exists. Buffered
+// bytes from r.off on are then dropped, so the next attempt re-reads them
+// from the file (a live writer may have completed the frame since).
 func (r *Reader) readRecord() ([]byte, error) {
-	if _, err := r.f.ReadAt(r.hdr[:], r.off); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("wal: reading header: %w", err)
+	hdr, err := r.window(headerSize)
+	if err != nil {
+		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(r.hdr[:])
-	sum := binary.LittleEndian.Uint32(r.hdr[4:])
+	n := binary.LittleEndian.Uint32(hdr)
+	sum := binary.LittleEndian.Uint32(hdr[4:])
 	if n == 0 || n > MaxRecordBytes {
-		return nil, io.EOF
+		return nil, r.tail()
 	}
-	if cap(r.buf) < int(n) {
-		r.buf = make([]byte, n)
+	frame, err := r.window(headerSize + int(n))
+	if err != nil {
+		return nil, err
 	}
-	payload := r.buf[:n]
-	if _, err := r.f.ReadAt(payload, r.off+headerSize); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("wal: reading payload: %w", err)
-	}
+	payload := frame[headerSize:]
 	if crc32.Checksum(payload, castagnoli) != sum {
-		return nil, io.EOF
+		return nil, r.tail()
 	}
 	r.off += headerSize + int64(n)
 	return payload, nil
+}
+
+// window returns the k segment bytes starting at r.off, reading ahead in
+// chunks of at least readChunkBytes when the buffer runs short. Fewer than
+// k bytes left in the file is io.EOF.
+func (r *Reader) window(k int) ([]byte, error) {
+	lo := int(r.off - r.bufStart)
+	if lo+k > len(r.buf) {
+		// Slide the unparsed bytes to the front, make room, read ahead.
+		rest := copy(r.buf[:cap(r.buf)], r.buf[lo:])
+		r.buf, r.bufStart, lo = r.buf[:rest], r.off, 0
+		if want := max(k, readChunkBytes); cap(r.buf) < want {
+			r.buf = append(make([]byte, 0, want), r.buf...)
+		}
+		m, err := r.f.ReadAt(r.buf[rest:cap(r.buf)], r.bufStart+int64(rest))
+		r.buf = r.buf[:rest+m]
+		if err != nil && !errors.Is(err, io.EOF) {
+			return nil, fmt.Errorf("wal: reading segment: %w", err)
+		}
+		if k > len(r.buf) {
+			return nil, r.tail()
+		}
+	}
+	return r.buf[lo : lo+k], nil
+}
+
+// tail drops the buffered bytes from r.off on and reports io.EOF.
+func (r *Reader) tail() error {
+	r.buf = r.buf[:r.off-r.bufStart]
+	return io.EOF
 }
 
 // Index returns the index of the record the next Next call will return.

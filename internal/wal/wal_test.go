@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -8,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"frappe/internal/telemetry"
 )
 
 func appendN(t *testing.T, l *Log, n int, tag string) {
@@ -284,5 +287,148 @@ func TestCorruptConsumerFileIsAnError(t *testing.T) {
 	}
 	if _, err := l.ConsumerOffset("monitor"); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("want corrupt-consumer error, got %v", err)
+	}
+}
+
+// TestChunkedReadAcrossBoundaries mixes record sizes so frames straddle
+// the reader's read-ahead chunks, including records larger than both the
+// append buffer and a read chunk, and reads them back across a reopen.
+func TestChunkedReadAcrossBoundaries(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{1, 700, readChunkBytes - headerSize, 3, readChunkBytes + 1, 5000, 3 * writeBufBytes, 1}
+	var want [][]byte
+	for i := 0; i < 40; i++ {
+		n := sizes[i%len(sizes)]
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = byte(i*31 + j)
+		}
+		if _, err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, p)
+	}
+	check := func(l *Log, label string) {
+		r, err := l.Reader(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for i, w := range want {
+			p, idx, err := r.Next()
+			if err != nil || idx != uint64(i) || !bytes.Equal(p, w) {
+				t.Fatalf("%s: record %d: idx=%d len=%d err=%v, want %d bytes", label, i, idx, len(p), err, len(w))
+			}
+		}
+		if _, _, err := r.Next(); !errors.Is(err, io.EOF) {
+			t.Fatalf("%s: want EOF after %d records, got %v", label, len(want), err)
+		}
+	}
+	check(l, "live")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, Options{SegmentBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if got := l2.End(); got != uint64(len(want)) {
+		t.Fatalf("End after reopen = %d, want %d", got, len(want))
+	}
+	check(l2, "reopened")
+}
+
+// TestAppendsBatchIntoWrites pins the visibility contract: small appends
+// share write calls, and after Sync the segment file holds every byte
+// appended.
+func TestAppendsBatchIntoWrites(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	reg := telemetry.Default()
+	writes0 := reg.CounterValue("frappe_wal_writes_total")
+	bytes0 := reg.CounterValue("frappe_wal_appended_bytes_total")
+	appendN(t, l, 1000, "batch")
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	writes := reg.CounterValue("frappe_wal_writes_total") - writes0
+	appended := reg.CounterValue("frappe_wal_appended_bytes_total") - bytes0
+	if writes == 0 || writes > 1000/100 {
+		t.Fatalf("1000 small appends took %d writes, want a handful", writes)
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(filepath.Join(dir, segs[len(segs)-1].name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(st.Size()) != appended {
+		t.Fatalf("segment holds %d bytes after Sync, want all %d appended", st.Size(), appended)
+	}
+}
+
+// TestReaderRereadsTailAfterEOF: a tail frame that fails its CRC reads as
+// io.EOF, and once the bytes on disk become valid (a concurrent write
+// landing) the same Reader must return the record, not a stale copy.
+func TestReaderRereadsTailAfterEOF(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendN(t, l, 2, "r")
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := l.Reader(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for i := 0; i < 2; i++ {
+		if _, _, err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, segs[0].name), os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := frameRecords("late-record")
+	good := frame[len(frame)-1]
+	frame[len(frame)-1] ^= 0xff
+	if _, err := f.WriteAt(frame, st.Size()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.Next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("CRC-failing tail: got %v, want io.EOF", err)
+	}
+	if _, err := f.WriteAt([]byte{good}, st.Size()+int64(len(frame))-1); err != nil {
+		t.Fatal(err)
+	}
+	p, idx, err := r.Next()
+	if err != nil || idx != 2 || string(p) != "late-record" {
+		t.Fatalf("after the tail became valid: %q idx=%d err=%v", p, idx, err)
 	}
 }
